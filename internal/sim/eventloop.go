@@ -1,55 +1,76 @@
+//go:build go1.23
+
 // The calendar-queue event-loop scheduler (the default).
 //
-// There is no central scheduler goroutine. CPUs remain goroutines — a
-// body must be able to suspend mid-call-stack, which Go only offers via
-// goroutines — but they are driven as resumable execution contexts:
-// exactly one is ever runnable, and all scheduling decisions run inline
-// on whichever CPU is giving up control. Releasing control picks the
-// next runner from the calendar queue and hands off directly
-// (next.grant <- {}; <-p.grant): one send plus one receive per context
-// switch, versus the legacy engine's two of each through the scheduler
-// goroutine. The happens-before edges of those channel operations order
-// every CPU's memory accesses, so the engine remains race-detector-clean
+// Every simulated CPU is an iter.Pull coroutine: a body must be able to
+// suspend mid-call-stack, and a coroutine does so without a goroutine
+// handoff. Run's goroutine runs the loop that resumes one CPU at a time
+// and gets control back when that CPU yields, blocks or halts. All
+// scheduling decisions still run inline on whichever CPU is giving up
+// control: it picks its successor from the calendar queue, stores it in
+// e.succ and switches to the run loop, which resumes the successor. A
+// CPU that picks itself keeps running without a switch. iter.Pull's race
+// annotations on every switch are the happens-before edges that order
+// the CPUs' memory accesses, so the engine stays race-detector-clean
 // without locks.
 //
 // State transitions (all on the running CPU, mirroring the legacy
-// engine's decision points exactly):
+// engine's decision points exactly, except the halt step, which runs in
+// the run loop once the body has returned):
 //
 //	Yield fast: queue minimum would lose to the caller → keep running.
-//	Yield slow: insert self, pop next, hand off; park until re-granted.
-//	Block:      mark Waiting (not queued), pop next, hand off; an empty
+//	Yield slow: insert self, pop next, switch; resumed when re-picked.
+//	Block:      mark Waiting (not queued), pop next, switch; an empty
 //	            queue here is a deadlock.
 //	Unblock:    mark Ready at the wake time and insert into the queue.
-//	Halt:       body returned; pop next and hand off, or finish the run
-//	            when this was the last live CPU.
+//	Halt:       body returned; the run loop pops next and resumes it, or
+//	            finishes the run when this was the last live CPU.
 //
 // Fatal conditions (deadlock, MaxCycles, body panic, a panicking
-// TieBreak hook) poison the engine: the detecting CPU drains every other
-// context — each is granted once and unwinds via poisonedEngine,
-// acknowledging on e.ack — then delivers the verdict to Run over e.done
-// and unwinds itself. The drain protocol guarantees a recovered Run
-// never leaks a parked CPU goroutine, including when the fatal fires
-// between a grant and the next scheduling step.
+// TieBreak hook) end the run. One detected inside Yield/Block poisons
+// the engine, records the verdict and unwinds the running body with
+// poisonedEngine; iter.Pull hands a body's panic to the run loop, and
+// the run loop itself detects the halt-step fatals. Run then drains: it
+// calls stop() on every other started context, which makes a parked
+// CPU's yield return false so Yield unwinds it with poisonedEngine, and
+// re-raises the verdict. The drain also runs when a body's
+// runtime.Goexit reaches the run loop, so a recovered Run, or one whose
+// caller's goroutine exits, never leaks a parked context.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // runEvent is Run for the event-loop scheduler.
 func (e *Engine) runEvent(bodies []func(*P)) {
 	e.cal.init(len(e.procs))
+	// cur is the context being resumed, nil while the run loop itself
+	// decides: a fatal raised out of cur came from its body or its
+	// Yield/Block.
+	var cur *P
+	completed := false
 	defer func() {
-		if r := recover(); r != nil {
-			if !e.poisoned {
-				// A panic that bypassed the fatal paths (e.g. the TieBreak
-				// hook during the initial pick): unwind the contexts before
-				// re-raising.
-				e.drainExcept(nil)
+		if completed {
+			return
+		}
+		r := recover() // nil while a body's runtime.Goexit unwinds Run
+		if cur != nil {
+			cur.state = Halted
+			if r != nil && !e.poisoned {
+				r = fmt.Errorf("sim: CPU %d panicked at cycle %d: %v", cur.ID, cur.time, r)
 			}
+		}
+		if r != nil && e.poisoned {
+			r = e.verdict
+		}
+		e.stopContexts()
+		if r != nil {
 			panic(r)
 		}
 	}()
 
-	var fresh []*P
 	for i, p := range e.procs {
 		var body func(*P)
 		if i < len(bodies) {
@@ -60,65 +81,55 @@ func (e *Engine) runEvent(bodies []func(*P)) {
 			continue
 		}
 		p.started = true
-		fresh = append(fresh, p)
-		go e.context(p, body)
+		p.next, p.stop = iter.Pull(e.context(p, body))
+		e.cal.insert(p)
+		e.live++
 	}
-	e.live = len(fresh)
 	if e.live == 0 {
+		completed = true
 		return
 	}
-	for _, p := range fresh {
-		e.cal.insert(p)
-	}
 
-	next := e.popNext()
-	e.now = next.time
-	if e.MaxCycles != 0 && e.now > e.MaxCycles {
-		e.drainExcept(nil)
-		panic(fmt.Sprintf("sim: exceeded MaxCycles=%d (livelock?)", e.MaxCycles))
+	p := e.dispatch()
+	for {
+		cur = p
+		_, yielded := p.next()
+		cur = nil
+		if yielded {
+			p = e.succ
+			continue
+		}
+		p.state = Halted
+		if e.poisoned {
+			// The body recovered its poisonedEngine unwind and returned.
+			panic(e.verdict)
+		}
+		if e.live--; e.live == 0 {
+			break
+		}
+		p = e.dispatch()
 	}
-	next.grant <- struct{}{}
-	if v := <-e.done; v != nil {
-		panic(v)
+	completed = true
+}
+
+// context is the coroutine body hosting one CPU. iter.Pull does not
+// start it until the CPU is first resumed, so a context stopped before
+// then never runs its body.
+func (e *Engine) context(p *P, body func(*P)) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		p.yield = yield
+		body(p)
 	}
 }
 
-// context hosts one CPU: park until first granted, run the body, then
-// resolve the halt (or the unwind) inline.
-func (e *Engine) context(p *P, body func(*P)) {
-	<-p.grant
-	defer func() {
-		p.state = Halted
-		r := recover()
-		if e.poisoned {
-			// Unwinding (or returning) during a poisoned run. The reporter
-			// delivers the stashed verdict — only now, with its body fully
-			// unwound, so Run's caller can never observe a still-running
-			// context — and every other context just acknowledges the drain.
-			if e.reporter == p {
-				e.done <- e.verdict
-			} else {
-				e.ack <- struct{}{}
-			}
-			return
-		}
-		if r != nil {
-			e.fatal(p, fmt.Errorf("sim: CPU %d panicked at cycle %d: %v", p.ID, p.time, r))
-			return
-		}
-		// Normal halt: schedule the next runner. A panic inside (a
-		// TieBreak hook, with no body left to unwind through) becomes the
-		// run's fatal verdict directly.
-		if r2 := e.tryHaltNext(p); r2 != nil {
-			e.fatal(p, r2)
-		}
-	}()
-	if e.poisoned {
-		// Granted for the first time during drain: unwind without ever
-		// running the body.
+// switchFrom suspends the running CPU p and hands next to the run loop to
+// resume. It returns when p is resumed, or unwinds p's body when the
+// drain stops it instead.
+func (e *Engine) switchFrom(p, next *P) {
+	e.succ = next
+	if !p.yield(struct{}{}) {
 		panic(poisonedEngine{})
 	}
-	body(p)
 }
 
 // yieldEvent is Yield for the event loop; p is the running CPU.
@@ -141,18 +152,8 @@ func (e *Engine) yieldEvent(p *P) {
 		}
 	}
 	e.cal.insert(p)
-	next := e.popNextRunning(p) // non-nil: p itself is queued
-	e.now = next.time
-	if e.MaxCycles != 0 && e.now > e.MaxCycles {
-		e.failRunning(p, fmt.Sprintf("sim: exceeded MaxCycles=%d (livelock?)", e.MaxCycles))
-	}
-	if next == p {
-		return
-	}
-	next.grant <- struct{}{}
-	<-p.grant
-	if e.poisoned {
-		panic(poisonedEngine{})
+	if next := e.dispatchRunning(); next != p {
+		e.switchFrom(p, next)
 	}
 }
 
@@ -166,19 +167,37 @@ func (e *Engine) blockEvent(p *P, reason string) {
 	}
 	p.state = Waiting
 	p.waitReason = reason
-	next := e.popNextRunning(p)
+	e.switchFrom(p, e.dispatchRunning())
+}
+
+// dispatch removes the next CPU to run from the queue and advances the
+// engine clock to it. It panics with the run's verdict when no CPU is
+// ready (deadlock), when the clock passes MaxCycles, or when the
+// TieBreak hook panics.
+func (e *Engine) dispatch() *P {
+	next := e.popNext()
 	if next == nil {
-		e.failRunning(p, "sim: deadlock: "+e.describeWaiters())
+		panic("sim: deadlock: " + e.describeWaiters())
 	}
 	e.now = next.time
 	if e.MaxCycles != 0 && e.now > e.MaxCycles {
-		e.failRunning(p, fmt.Sprintf("sim: exceeded MaxCycles=%d (livelock?)", e.MaxCycles))
+		panic(fmt.Sprintf("sim: exceeded MaxCycles=%d (livelock?)", e.MaxCycles))
 	}
-	next.grant <- struct{}{}
-	<-p.grant
-	if e.poisoned {
-		panic(poisonedEngine{})
-	}
+	return next
+}
+
+// dispatchRunning is dispatch on a running CPU's stack. A verdict poisons
+// the engine and unwinds the CPU's body with poisonedEngine, which
+// application code re-raises like any foreign panic; Run re-raises the
+// verdict itself.
+func (e *Engine) dispatchRunning() *P {
+	defer func() {
+		if r := recover(); r != nil {
+			e.poisoned, e.verdict = true, r
+			panic(poisonedEngine{})
+		}
+	}()
+	return e.dispatch()
 }
 
 // popNext removes and returns the next CPU to run under the documented
@@ -213,82 +232,25 @@ func (e *Engine) popNext() *P {
 	return best
 }
 
-// popNextRunning is popNext for use on a running CPU's stack: a panic
-// escaping the TieBreak hook becomes the run's fatal verdict (drain,
-// deliver, unwind) instead of killing the process with no recover above.
-func (e *Engine) popNextRunning(p *P) (next *P) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.failRunning(p, r)
-		}
-	}()
-	return e.popNext()
-}
-
-// tryHaltNext runs the halt-path scheduling step, converting a panic
-// (TieBreak hook) into a returned verdict for the context's defer.
-func (e *Engine) tryHaltNext(p *P) (rec any) {
-	defer func() { rec = recover() }()
-	e.haltNext(p)
-	return nil
-}
-
-// haltNext resolves CPU p's halt: hand off to the next runner, report
-// deadlock/MaxCycles, or — when p was the last live CPU — finish the
-// run. Called from p's context with p already marked Halted.
-func (e *Engine) haltNext(p *P) {
-	e.live--
-	if e.live == 0 {
-		e.done <- nil
-		return
-	}
-	next := e.popNext()
-	if next == nil {
-		e.fatal(p, "sim: deadlock: "+e.describeWaiters())
-		return
-	}
-	e.now = next.time
-	if e.MaxCycles != 0 && e.now > e.MaxCycles {
-		e.fatal(p, fmt.Sprintf("sim: exceeded MaxCycles=%d (livelock?)", e.MaxCycles))
-		return
-	}
-	next.grant <- struct{}{}
-}
-
-// fatal poisons the engine from a context whose body has already
-// finished (halt path or the wrapper's panic branch): drain the other
-// contexts, then deliver the verdict to Run.
-func (e *Engine) fatal(p *P, v any) {
-	e.drainExcept(p)
-	e.done <- v
-}
-
-// failRunning reports a fatal condition detected inside Yield/Block on
-// the running CPU: drain the others, stash the verdict, and unwind this
-// CPU's own body via the poison panic — its context wrapper delivers
-// the verdict to Run once the unwind completes.
-func (e *Engine) failRunning(p *P, v any) {
-	e.drainExcept(p)
-	e.reporter = p
-	e.verdict = v
-	panic(poisonedEngine{})
-}
-
-// drainExcept grants every started, non-halted context except self once,
-// in CPU-id order, letting each unwind via poisonedEngine and waiting
-// for its acknowledgment. self (the reporting context, or nil when
-// draining from Run itself) unwinds separately.
-func (e *Engine) drainExcept(self *P) {
+// stopContexts stops every started, non-halted context in CPU-id order.
+// A parked context unwinds via poisonedEngine, which stop re-raises and
+// stopQuietly discards; a context never resumed exits without running
+// its body.
+func (e *Engine) stopContexts() {
 	e.poisoned = true
 	for _, q := range e.procs {
-		if q == self {
-			continue
-		}
-		for q.started && q.state != Halted {
-			q.grant <- struct{}{}
-			<-e.ack
+		if q.started && q.state != Halted {
+			stopQuietly(q.stop)
+			q.state = Halted
 		}
 	}
+}
+
+// stopQuietly calls stop and discards the panic it re-raises from the
+// unwound body.
+func stopQuietly(stop func()) {
+	defer func() { _ = recover() }()
+	stop()
 }
 
 // sortIDs sorts a small id slice ascending (insertion sort: tied sets

@@ -24,13 +24,13 @@
 // Two scheduler implementations share this contract and are selected by
 // NewEngineSched:
 //
-//   - SchedEventLoop (the default): a calendar-queue event loop. CPUs
-//     are still goroutines (they must suspend mid-body), but scheduling
-//     runs inline on whichever CPU is giving up control and the next
-//     runner comes from an O(1)-amortized bucketed time wheel
-//     (calendar.go) instead of an O(n) scan, with control passed by
-//     direct handoff — no central scheduler goroutine, one channel send
-//     plus one receive per context switch. See eventloop.go.
+//   - SchedEventLoop (the default): a calendar-queue event loop. Each
+//     CPU is an iter.Pull coroutine (a body must suspend mid-call-stack)
+//     driven by Run's goroutine. Scheduling runs inline on whichever CPU
+//     is giving up control, and the next runner comes from an
+//     O(1)-amortized bucketed time wheel (calendar.go) instead of an O(n)
+//     scan. A context switch is two coroutine switches through Run, with
+//     no channel operation and no goroutine handoff. See eventloop.go.
 //
 //   - SchedGoroutine: the legacy engine — a central scheduler goroutine
 //     granting one CPU per rendezvous. Kept for one release as a
@@ -110,7 +110,7 @@ func ParseSched(name string) (Sched, error) {
 func Scheds() []Sched { return []Sched{SchedEventLoop, SchedGoroutine} }
 
 // P is one simulated CPU as seen by the engine: an id, a local clock, and
-// the rendezvous channel used to grant it execution.
+// the execution context the engine resumes it through.
 type P struct {
 	// ID is the CPU number, stable for the life of the engine.
 	ID int
@@ -118,6 +118,12 @@ type P struct {
 	eng   *Engine
 	time  uint64
 	state State
+	// next resumes the CPU's coroutine, stop unwinds it, and yield (set
+	// by the coroutine itself) suspends it back to Run (eventloop.go).
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	// grant is the legacy engine's rendezvous channel (goroutine.go).
 	grant chan struct{}
 	// waitReason documents why the CPU is blocked, for deadlock reports.
 	waitReason string
@@ -145,7 +151,7 @@ type Engine struct {
 	tied     []int // reusable buffer for TieBreak
 	running  bool
 	// poisoned is set when the engine hits a fatal condition (body panic,
-	// deadlock, MaxCycles): the remaining CPU goroutines are granted one
+	// deadlock, MaxCycles): the remaining CPU contexts are resumed one
 	// last time and unwind via a poisonedEngine panic instead of running
 	// on.
 	poisoned bool
@@ -156,21 +162,14 @@ type Engine struct {
 	// Event-loop engine (eventloop.go, calendar.go).
 	cal  calendar
 	live int
-	// done carries the run's verdict from the CPU that ends it to Run:
-	// nil for a clean halt of the last CPU, otherwise the fatal value Run
-	// must re-raise.
-	done chan any
-	// ack serializes the poison drain: each drained context acknowledges
-	// its unwind so the drainer can grant the next one.
-	ack chan struct{}
-	// reporter marks the context that detected a fatal condition inside
-	// Yield/Block; verdict is what it delivers to Run once its own body
-	// has finished unwinding.
-	reporter *P
-	verdict  any
+	// succ is the CPU a suspending CPU picked to run next; Run resumes it.
+	succ *P
+	// verdict is the fatal value a CPU detected inside Yield/Block; Run
+	// re-raises it once that CPU's body has unwound.
+	verdict any
 }
 
-// poisonedEngine is the panic value that unwinds surviving CPU goroutines
+// poisonedEngine is the panic value that unwinds surviving CPU contexts
 // after the engine itself hit a fatal condition; the drain discards it.
 // Application code must re-raise it like any foreign panic value.
 type poisonedEngine struct{}
@@ -191,14 +190,17 @@ func NewEngine(n int) *Engine { return NewEngineSched(n, SchedEventLoop) }
 // NewEngineSched creates an engine with n CPUs using the given scheduler
 // implementation.
 func NewEngineSched(n int, sched Sched) *Engine {
-	e := &Engine{
-		sched: sched,
-		step:  make(chan stepMsg),
-		done:  make(chan any),
-		ack:   make(chan struct{}),
+	e := &Engine{sched: sched, procs: make([]*P, n)}
+	if sched == SchedGoroutine {
+		e.step = make(chan stepMsg)
 	}
-	for i := 0; i < n; i++ {
-		e.procs = append(e.procs, &P{ID: i, eng: e, grant: make(chan struct{})})
+	ps := make([]P, n)
+	for i := range ps {
+		ps[i] = P{ID: i, eng: e}
+		if sched == SchedGoroutine {
+			ps[i].grant = make(chan struct{})
+		}
+		e.procs[i] = &ps[i]
 	}
 	return e
 }
@@ -298,8 +300,14 @@ func (p *P) Unblock(at uint64) {
 // if the CPUs deadlock (all non-halted CPUs are waiting) or if a body
 // panics (the panic is re-raised with CPU context), or if MaxCycles is
 // exceeded. Whatever the fatal condition — including a panic raised by a
-// TieBreak hook — every CPU goroutine is unwound before Run re-raises, so
+// TieBreak hook — every CPU context is unwound before Run re-raises, so
 // a recovered Run never leaks parked goroutines.
+//
+// A body that calls runtime.Goexit (t.FailNow, for example) ends the run
+// too. Under SchedEventLoop the Goexit is passed on to Run's caller: every
+// other CPU is unwound and halted, and then the goroutine that called Run
+// exits, so Run does not return. Under SchedGoroutine only the body's own
+// goroutine exits; that CPU halts and the run goes on.
 func (e *Engine) Run(bodies []func(*P)) {
 	if e.running {
 		panic("sim: Run re-entered")

@@ -409,6 +409,63 @@ func TestEnginePanicDoesNotLeakGoroutines(t *testing.T) {
 	})
 }
 
+// TestBodyGoexitDrainsEveryContext: a body that calls runtime.Goexit
+// (t.FailNow does) mid-run, while the other CPUs are parked in Yield and
+// Block, must leave every CPU halted and no goroutine behind. Under the
+// event loop the Goexit reaches Run's caller; under the legacy engine
+// only the body's goroutine exits, and the CPU parked in Block then
+// deadlocks the run.
+func TestBodyGoexitDrainsEveryContext(t *testing.T) {
+	forEachSched(t, func(t *testing.T, mk func(n int) *Engine) {
+		before := runtime.NumGoroutine()
+		e := mk(3)
+		outcome := make(chan string)
+		go func() {
+			ended := "goexit"
+			defer func() {
+				if r := recover(); r != nil {
+					ended = fmt.Sprint("panic: ", r)
+				}
+				outcome <- ended
+			}()
+			e.Run([]func(*P){
+				func(p *P) { p.Block("never unblocked") },
+				func(p *P) {
+					for k := 0; k < 10; k++ {
+						p.Advance(1)
+						p.Yield()
+					}
+				},
+				func(p *P) {
+					p.Advance(3)
+					p.Yield()
+					runtime.Goexit()
+				},
+			})
+			ended = "returned"
+		}()
+		got := <-outcome
+		want := "goexit"
+		if e.Sched() == SchedGoroutine {
+			want = "panic: sim: deadlock"
+		}
+		if !strings.HasPrefix(got, want) {
+			t.Fatalf("Run ended with %q, want %q", got, want)
+		}
+		for i := 0; i < 3; i++ {
+			if e.Proc(i).State() != Halted {
+				t.Fatalf("CPU %d left in state %v", i, e.Proc(i).State())
+			}
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("leaked goroutines: %d before, %d after", before, runtime.NumGoroutine())
+			}
+			runtime.Gosched()
+		}
+	})
+}
+
 // TestTieBreakHookPicksAmongTied: with a hook installed, a time-tie is
 // resolved by the hook's index instead of the lowest-id default. Three
 // CPUs all start at time 0; a pick-the-last hook must grant them in
@@ -561,4 +618,40 @@ func TestDrainSkipsNeverGrantedBody(t *testing.T) {
 			func(p *P) { ran = true },
 		})
 	})
+}
+
+// BenchmarkHandoff measures the cost of one Yield under each scheduler:
+// a forced switch between two CPUs at equal latency, a round-robin over
+// 256 CPUs (every Yield switches), and the one-CPU fast path (no Yield
+// switches). Every CPU yields b.N times; ns/yield divides the run by the
+// total number of Yield calls.
+func BenchmarkHandoff(b *testing.B) {
+	cases := []struct {
+		name string
+		cpus int
+	}{
+		{"switch2", 2},
+		{"roundrobin256", 256},
+		{"fastpath1", 1},
+	}
+	for _, s := range Scheds() {
+		for _, c := range cases {
+			b.Run(s.String()+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				e := NewEngineSched(c.cpus, s)
+				bodies := make([]func(*P), c.cpus)
+				for i := range bodies {
+					bodies[i] = func(p *P) {
+						for k := 0; k < b.N; k++ {
+							p.Advance(1)
+							p.Yield()
+						}
+					}
+				}
+				b.ResetTimer()
+				e.Run(bodies)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.cpus), "ns/yield")
+			})
+		}
+	}
 }

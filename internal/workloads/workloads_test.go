@@ -1,11 +1,13 @@
 package workloads
 
 import (
+	"bytes"
 	"testing"
 
 	"tmisa/internal/cache"
 	"tmisa/internal/core"
 	"tmisa/internal/mem"
+	"tmisa/internal/tracebin"
 )
 
 // suite returns fresh instances of every Figure 5 workload.
@@ -381,7 +383,9 @@ func TestWorkloadsOnMultitrackScheme(t *testing.T) {
 // simulation — cycle counts and every machine counter stay identical with
 // and without it. EXPERIMENTS.md asserts this ("pure observation"); this
 // test enforces it, so oracle-checked runs measure the same machine the
-// figures report.
+// figures report. The same holds for a tracebin stream attached through
+// Machine.SetTracer: its writer runs inside the simulated CPUs' contexts
+// on every event, and must be just as invisible to timing.
 // The sweep covers every memory model: under TSO and the relaxed
 // reordering window the oracle additionally validates store-buffer
 // axioms, and that extra checking must be just as invisible.
@@ -405,6 +409,26 @@ func TestOracleIsPureObservation(t *testing.T) {
 			if plain.Machine != checked.Machine {
 				t.Errorf("%s under %s: oracle changed machine counters:\nplain:   %+v\nchecked: %+v",
 					mk().Name(), model, plain.Machine, checked.Machine)
+			}
+
+			var stream bytes.Buffer
+			tw := tracebin.NewWriter(&stream, "workloads-test")
+			traced := ExecuteTraced(mk(), base, 8, func(m *core.Machine) {
+				m.SetTracer(tw.StartRun(mk().Name(), base.Describe(), base.Cache.LineSize))
+			})
+			if err := tw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if _, events, err := tracebin.Validate(bytes.NewReader(stream.Bytes())); err != nil || events == 0 {
+				t.Fatalf("%s under %s: stream invalid or empty (%d events): %v", mk().Name(), model, events, err)
+			}
+			if plain.TotalCycles != traced.TotalCycles {
+				t.Errorf("%s under %s: tracebin stream changed cycles: %d -> %d",
+					mk().Name(), model, plain.TotalCycles, traced.TotalCycles)
+			}
+			if plain.Machine != traced.Machine {
+				t.Errorf("%s under %s: tracebin stream changed machine counters:\nplain:  %+v\ntraced: %+v",
+					mk().Name(), model, plain.Machine, traced.Machine)
 			}
 		}
 	}
