@@ -17,8 +17,13 @@
 //	                            # condsync, schemes, engines, opensem, depth,
 //	                            # granularity, scaling, hybrid, scale
 //
+// -cpuprofile and -memprofile write host CPU and allocation profiles of
+// the whole run for `go tool pprof`; stdout is the same with or without
+// them.
+//
 // Exit codes: 0 on success, 1 when a cell fails (workload verification,
-// oracle violation, I/O error), 2 on usage errors.
+// oracle violation, I/O error), 2 on usage errors (an unwritable
+// -cpuprofile or -memprofile path among them).
 package main
 
 import (
@@ -29,6 +34,7 @@ import (
 	"runtime"
 	"time"
 
+	"tmisa/internal/hostprof"
 	"tmisa/internal/runner"
 	"tmisa/internal/sim"
 	"tmisa/internal/tmprof"
@@ -41,7 +47,7 @@ func main() {
 
 // run is the whole command, factored so tests can invoke it in-process
 // and assert on output and exit codes.
-func run(argv []string, stdout, stderr io.Writer) int {
+func run(argv []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	exp := fs.String("exp", "all", "experiment to run (all, overheads, figure5, io, condsync, schemes, engines, opensem, depth, granularity, scaling, hybrid, scale)")
@@ -59,6 +65,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	trendAllocThreshold := fs.Float64("trend-alloc-threshold", 25, "host-allocation regression threshold in percent for -trend-check (generous: alloc counts are host-dependent)")
 	quiet := fs.Bool("q", false, "suppress per-cell progress on stderr")
 	schedName := fs.String("sched", "", "simulation scheduler: eventloop (default) or goroutine (the legacy engine, kept one release as the differential oracle)")
+	cpuProfile := fs.String("cpuprofile", "", "write a host CPU profile of the run to this file (read with go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write a host allocation profile of the run to this file when it ends (read with go tool pprof)")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
@@ -95,6 +103,19 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		names = []string{*exp}
 	}
+	stopProfiles, err := hostprof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(stderr, "experiments: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	ctx := runner.Context{CPUs: *cpus, Oracle: *oracle, Profile: *profile, Trace: *traceOut != "", Sched: sched}
 	capture := *profile || ctx.Trace

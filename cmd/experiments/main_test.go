@@ -286,3 +286,38 @@ func TestSuccessExitCode(t *testing.T) {
 		t.Errorf("overheads output missing measured line:\n%s", out.String())
 	}
 }
+
+// TestHostProfiles pins -cpuprofile and -memprofile: stdout is the same
+// with and without them, each writes a gzipped pprof profile, and a path
+// that cannot be created is a usage error (exit 2) caught before any
+// experiment runs.
+func TestHostProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	bare, _ := runOnce(t, "io", 2)
+	profiled, _ := runOnce(t, "io", 2, "-cpuprofile", cpu, "-memprofile", mem)
+	if bare != profiled {
+		t.Errorf("stdout differs with -cpuprofile/-memprofile\n--- bare ---\n%s--- profiled ---\n%s", bare, profiled)
+	}
+	for _, path := range []string{cpu, mem} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Errorf("%s: %d bytes, not a gzipped pprof profile", filepath.Base(path), len(data))
+		}
+	}
+
+	missing := filepath.Join(dir, "no-such-dir", "x.pprof")
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		var out, errb bytes.Buffer
+		args := []string{"-exp", "overheads", "-q", "-benchdir", "", flag, missing}
+		if got := run(args, &out, &errb); got != 2 {
+			t.Errorf("run(%v) = %d, want 2; stderr:\n%s", args, got, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s with an unwritable path ran the experiment:\n%s", flag, out.String())
+		}
+	}
+}

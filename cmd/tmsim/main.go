@@ -6,6 +6,10 @@
 //	tmsim -workload mp3d -cpus 8 -engine lazy
 //	tmsim -workload SPECjbb2000-open -flatten
 //	tmsim -workload swim -sequential
+//	tmsim -workload mp3d -cpuprofile cpu.pprof -memprofile mem.pprof
+//
+// -cpuprofile and -memprofile write host CPU and allocation profiles of
+// the run for `go tool pprof`; an unwritable path exits 2.
 package main
 
 import (
@@ -16,6 +20,7 @@ import (
 
 	"tmisa/internal/cache"
 	"tmisa/internal/core"
+	"tmisa/internal/hostprof"
 	"tmisa/internal/tm"
 	"tmisa/internal/tmprof"
 	"tmisa/internal/trace"
@@ -58,6 +63,8 @@ func main() {
 		budget     = flag.Int("retry-budget", 0, "HTM attempts before a contended transaction falls back (0 = engine default; needs -fallback)")
 		maxWrite   = flag.Int("max-write-lines", 0, "bound speculative write footprint to N lines (capacity aborts past it; 0 = unbounded)")
 		maxRead    = flag.Int("max-read-lines", 0, "bound speculative read footprint to N lines (0 = unbounded)")
+		cpuProfile = flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (read with go tool pprof)")
+		memProfile = flag.String("memprofile", "", "write a host allocation profile of the run to this file when it ends (read with go tool pprof)")
 	)
 	flag.Parse()
 
@@ -127,6 +134,18 @@ func main() {
 	}
 
 	cfg.Oracle = *oracleOn
+
+	stopProfiles, err := hostprof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tmsim: %v\n", err)
+		os.Exit(2)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "tmsim: %v\n", err)
+			os.Exit(1)
+		}
+	}()
 
 	granule := cfg.Cache.LineSize
 	if cfg.WordTracking {

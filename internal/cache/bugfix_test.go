@@ -14,9 +14,13 @@ import (
 func markedLines(h *Hierarchy) map[mem.Addr][2]bool {
 	out := make(map[mem.Addr][2]bool)
 	for _, lv := range []*level{h.l1, h.l2} {
-		for si := range lv.sets {
-			for wi := range lv.sets[si] {
-				l := &lv.sets[si][wi]
+		for _, slot := range lv.dir {
+			if slot == 0 {
+				continue
+			}
+			set := lv.waysAt(slot)
+			for wi := range set {
+				l := &set[wi]
 				if !l.valid || !l.speculative() {
 					continue
 				}

@@ -107,19 +107,23 @@ func DefaultConfig() Config {
 }
 
 // line is one cache line's tags and transactional metadata. The simulator
-// stores no data here; package tm is authoritative for values.
+// stores no data here; package tm is authoritative for values. Fields are
+// ordered widest first so a line packs into 40 bytes.
 type line struct {
-	tag   mem.Addr
-	valid bool
-	lru   uint64
+	tag mem.Addr
+	lru uint64
+
+	// Associativity scheme: the NL field (0 = not speculative) of the
+	// single R/W pair below.
+	nl int
 
 	// Multi-tracking scheme: R_i / W_i bitmasks, bit i-1 for level i.
 	rmask, wmask uint32
 
-	// Associativity scheme: single R/W pair plus the NL field (0 = not
-	// speculative).
+	valid bool
+
+	// Associativity scheme: the single R/W pair.
 	r, w bool
-	nl   int
 
 	// mergePending marks a line whose set membership still has to be
 	// folded into the parent level (lazy merging); the next access pays a
@@ -144,12 +148,40 @@ func (l *line) clearTx() {
 	l.mergePending = false
 }
 
-// level is one cache (L1 or L2).
+// A set directory entry packs the slab number plus one above slotShift
+// and the offset of the set's first way within that slab below it; 0
+// marks a set no fill has touched yet.
+const (
+	slotShift = 24
+	slotMask  = 1<<slotShift - 1
+
+	// maxSlabs bounds the slabs of a level. The first slab holds
+	// max(minFirstSlab, sets/2^(maxSlabs-1)) sets, and each later one as
+	// many as all earlier ones together, so every level fits: the
+	// paper's 1024-set L2 in exactly maxSlabs, starting from 8 sets.
+	maxSlabs     = 8
+	minFirstSlab = 8
+)
+
+// level is one cache (L1 or L2). It is sparse: a set gets its ways on
+// its first fill, so a level costs memory in proportion to the sets a
+// run touches, not to its capacity. An untouched set holds no valid line,
+// so every lookup in it misses.
 type level struct {
-	sets     [][]line
+	dir      []uint32 // one slot per set (see slotShift)
+	ways     int
 	setShift uint
 	setMask  mem.Addr
 	lruTick  uint64
+
+	// slabs back the materialised sets, ways lines per set. A slab never
+	// moves once allocated, because spec holds pointers into it. Slabs
+	// grow geometrically (see maxSlabs), so a level makes at most
+	// maxSlabs of them however many sets it touches. nslabs slabs are
+	// allocated, used sets are materialised, and carved lines of the last
+	// slab are handed out.
+	slabs                [maxSlabs][]line
+	nslabs, carved, used int
 
 	// spec lists every line slot that may hold transactional metadata
 	// (superset: stale entries are compacted by the next gang operation).
@@ -160,7 +192,8 @@ type level struct {
 	spec []*line
 }
 
-func newLevel(bytes, ways, lineSize int) *level {
+// numSets returns the set count of a level of the given geometry.
+func numSets(bytes, ways, lineSize int) int {
 	lines := bytes / lineSize
 	if lines%ways != 0 {
 		panic(fmt.Sprintf("cache: %d lines not divisible by %d ways", lines, ways))
@@ -169,13 +202,20 @@ func newLevel(bytes, ways, lineSize int) *level {
 	if nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", nsets))
 	}
-	l := &level{setShift: log2(lineSize), setMask: mem.Addr(nsets - 1)}
-	l.sets = make([][]line, nsets)
-	backing := make([]line, lines) // one allocation for all ways of all sets
-	for i := range l.sets {
-		l.sets[i], backing = backing[:ways:ways], backing[ways:]
+	if lines > 2<<slotShift {
+		// The largest slab holds half the lines; its offsets must fit
+		// below slotShift.
+		panic(fmt.Sprintf("cache: %d lines per level is too many", lines))
 	}
-	return l
+	return nsets
+}
+
+// init sets lv up with one directory slot per set, all untouched.
+func (lv *level) init(dir []uint32, ways, lineSize int) {
+	lv.dir = dir
+	lv.ways = ways
+	lv.setShift = log2(lineSize)
+	lv.setMask = mem.Addr(len(dir) - 1)
 }
 
 // noteSpec puts l on the spec list unless it is already there. Every code
@@ -196,14 +236,53 @@ func log2(v int) uint {
 	return s
 }
 
+func (lv *level) setIndex(lineAddr mem.Addr) mem.Addr {
+	return (lineAddr >> lv.setShift) & lv.setMask
+}
+
+// setFor returns the ways of lineAddr's set, or nil if the set is
+// untouched.
 func (lv *level) setFor(lineAddr mem.Addr) []line {
-	return lv.sets[(lineAddr>>lv.setShift)&lv.setMask]
+	if slot := lv.dir[lv.setIndex(lineAddr)]; slot != 0 {
+		return lv.waysAt(slot)
+	}
+	return nil
+}
+
+// waysAt returns the ways a non-zero directory slot points at. The slab
+// number is always below maxSlabs; the modulo only spares a bounds check
+// on this hot path.
+func (lv *level) waysAt(slot uint32) []line {
+	off := slot & slotMask
+	return lv.slabs[(slot>>slotShift-1)%maxSlabs][off : off+uint32(lv.ways)]
+}
+
+// materialise gives the untouched set of lineAddr its ways, carving them
+// from the last slab or from a new one.
+func (lv *level) materialise(lineAddr mem.Addr) []line {
+	if lv.nslabs == 0 || lv.carved == len(lv.slabs[lv.nslabs-1]) {
+		nsets := len(lv.dir)
+		sets := min(max(minFirstSlab, nsets>>(maxSlabs-1), lv.used), nsets-lv.used)
+		lv.slabs[lv.nslabs] = make([]line, sets*lv.ways)
+		lv.nslabs++
+		lv.carved = 0
+	}
+	slot := uint32(lv.nslabs)<<slotShift | uint32(lv.carved)
+	lv.carved += lv.ways
+	lv.used++
+	lv.dir[lv.setIndex(lineAddr)] = slot
+	return lv.waysAt(slot)
 }
 
 // lookup finds the line (associativity scheme: the most recent version,
 // i.e. the one with the highest NL) and returns it, or nil on miss.
 func (lv *level) lookup(lineAddr mem.Addr) *line {
-	set := lv.setFor(lineAddr)
+	return find(lv.setFor(lineAddr), lineAddr)
+}
+
+// find is lookup within set, the ways of lineAddr's set (nil if it is
+// untouched).
+func find(set []line, lineAddr mem.Addr) *line {
 	var best *line
 	for i := range set {
 		l := &set[i]
@@ -216,10 +295,14 @@ func (lv *level) lookup(lineAddr mem.Addr) *line {
 	return best
 }
 
-// victim picks the replacement way for a fill: an invalid way if any,
-// otherwise the LRU way. It reports whether a speculative line was evicted.
-func (lv *level) victim(lineAddr mem.Addr) (*line, bool) {
-	set := lv.setFor(lineAddr)
+// victim picks the replacement way for a fill of lineAddr, whose set's
+// ways are set: an invalid way if any, otherwise the LRU way. It reports
+// whether a speculative line was evicted. A fill is what materialises an
+// untouched set (set == nil).
+func (lv *level) victim(set []line, lineAddr mem.Addr) (*line, bool) {
+	if set == nil {
+		set = lv.materialise(lineAddr)
+	}
 	var victim *line
 	for i := range set {
 		l := &set[i]
@@ -268,21 +351,26 @@ type AccessResult struct {
 
 // Hierarchy is the private L1+L2 of one CPU.
 type Hierarchy struct {
-	cfg Config
-	l1  *level
-	l2  *level
+	cfg    Config
+	l1     *level
+	l2     *level
+	levels [2]level // what l1 and l2 point at
 }
 
-// NewHierarchy builds a hierarchy from cfg.
+// NewHierarchy builds a hierarchy from cfg. No set has ways yet; each
+// gets them on its first fill.
 func NewHierarchy(cfg Config) *Hierarchy {
 	if cfg.MaxLevels > 32 {
 		panic("cache: at most 32 hardware nesting levels supported")
 	}
-	return &Hierarchy{
-		cfg: cfg,
-		l1:  newLevel(cfg.L1Bytes, cfg.L1Ways, cfg.LineSize),
-		l2:  newLevel(cfg.L2Bytes, cfg.L2Ways, cfg.LineSize),
-	}
+	n1 := numSets(cfg.L1Bytes, cfg.L1Ways, cfg.LineSize)
+	n2 := numSets(cfg.L2Bytes, cfg.L2Ways, cfg.LineSize)
+	dir := make([]uint32, n1+n2) // both levels' directories, one allocation
+	h := &Hierarchy{cfg: cfg}
+	h.l1, h.l2 = &h.levels[0], &h.levels[1]
+	h.l1.init(dir[:n1:n1], cfg.L1Ways, cfg.LineSize)
+	h.l2.init(dir[n1:], cfg.L2Ways, cfg.LineSize)
+	return h
 }
 
 // Config returns the hierarchy's configuration.
@@ -299,19 +387,21 @@ func (h *Hierarchy) Access(a mem.Addr, write bool, nl int) AccessResult {
 	var res AccessResult
 	res.Latency = uint64(h.cfg.L1Latency)
 
-	l := h.l1.lookup(lineAddr)
+	set1 := h.l1.setFor(lineAddr)
+	l := find(set1, lineAddr)
 	switch {
 	case l != nil:
 		res.HitL1 = true
 	default:
 		res.Latency += uint64(h.cfg.L2Latency)
-		if l2line := h.l2.lookup(lineAddr); l2line != nil {
+		set2 := h.l2.setFor(lineAddr)
+		if l2line := find(set2, lineAddr); l2line != nil {
 			res.HitL2 = true
 			// Promote into L1, preserving transactional metadata. The spec
 			// listing is a property of the slot, not of the copied
 			// contents: keep the target's own flag, then list it if the
 			// promoted metadata is speculative.
-			l = h.fill(h.l1, lineAddr, &res)
+			l = h.fill(h.l1, set1, lineAddr, &res)
 			wasListed := l.listed
 			*l = *l2line
 			l.tag, l.valid = lineAddr, true
@@ -329,9 +419,9 @@ func (h *Hierarchy) Access(a mem.Addr, write bool, nl int) AccessResult {
 		} else {
 			res.Latency += uint64(h.cfg.MemLatency)
 			res.BusBytes = h.cfg.LineSize
-			l2 := h.fill(h.l2, lineAddr, &res)
+			l2 := h.fill(h.l2, set2, lineAddr, &res)
 			l2.clearTx()
-			l = h.fill(h.l1, lineAddr, &res)
+			l = h.fill(h.l1, set1, lineAddr, &res)
 			l.clearTx()
 		}
 	}
@@ -348,11 +438,11 @@ func (h *Hierarchy) Access(a mem.Addr, write bool, nl int) AccessResult {
 	return res
 }
 
-// fill allocates a way for lineAddr in lv, accounting overflow of
-// speculative victims, and returns the line (tag set, metadata cleared by
-// the caller as appropriate).
-func (h *Hierarchy) fill(lv *level, lineAddr mem.Addr, res *AccessResult) *line {
-	v, overflowed := lv.victim(lineAddr)
+// fill allocates a way for lineAddr in lv, whose set's ways are set (nil
+// if untouched), accounting overflow of speculative victims, and returns
+// the line (tag set, metadata cleared by the caller as appropriate).
+func (h *Hierarchy) fill(lv *level, set []line, lineAddr mem.Addr, res *AccessResult) *line {
+	v, overflowed := lv.victim(set, lineAddr)
 	if v.valid {
 		res.Evicted++
 	}
@@ -410,7 +500,7 @@ func (h *Hierarchy) mark(lineAddr mem.Addr, l *line, write bool, nl int, res *Ac
 			// for this level's version (Figure 4b), pressuring capacity.
 			// Renumbering instead would hand the ancestor's tracking to
 			// this level, and a rollback here would silently discard it.
-			nl2 := h.fill(h.l1, lineAddr, res)
+			nl2 := h.fill(h.l1, h.l1.setFor(lineAddr), lineAddr, res)
 			nl2.clearTx()
 			nl2.tag, nl2.valid = lineAddr, true
 			nl2.nl = hwLevel
@@ -548,7 +638,7 @@ func (h *Hierarchy) CommitLevel(nl int, open bool) CommitResult {
 }
 
 func (h *Hierarchy) findVersion(lv *level, tag mem.Addr, nl int) *line {
-	set := lv.setFor(tag)
+	set := lv.setFor(tag) // nil for an untouched set: no version
 	for i := range set {
 		l := &set[i]
 		if l.valid && l.tag == tag && l.nl == nl {
@@ -604,10 +694,14 @@ func (h *Hierarchy) RollbackLevel(nl int) {
 // list at their outermost commit but still owe the lazy-merge fix-up.
 func (h *Hierarchy) ClearAll() {
 	for _, lv := range []*level{h.l1, h.l2} {
-		for si := range lv.sets {
-			for wi := range lv.sets[si] {
-				lv.sets[si][wi].clearTx()
-				lv.sets[si][wi].listed = false
+		for _, slot := range lv.dir {
+			if slot == 0 {
+				continue
+			}
+			set := lv.waysAt(slot)
+			for wi := range set {
+				set[wi].clearTx()
+				set[wi].listed = false
 			}
 		}
 		lv.spec = lv.spec[:0]
@@ -621,12 +715,22 @@ func (h *Hierarchy) ClearAll() {
 // *ranking* (replacement order — raw lruTick values are monotone
 // counters that differ between equivalent histories), and each level's
 // spec-list contents in order (gang-walk cost and stale-entry compaction
-// depend on the list itself, including its length).
+// depend on the list itself, including its length). Untouched sets hold
+// no valid line, so they fold in nothing.
 func (h *Hierarchy) Fingerprint(fn func(uint64)) {
+	// Replacement-ranking scratch, one slot per way of the wider level.
+	var buf [16]int
+	order := buf[:]
+	if ways := max(h.l1.ways, h.l2.ways); ways > len(buf) {
+		order = make([]int, ways)
+	}
 	for li, lv := range []*level{h.l1, h.l2} {
 		fn(uint64(li))
-		order := make([]int, len(lv.sets[0])) // one slot per way
-		for si, set := range lv.sets {
+		for si, slot := range lv.dir {
+			if slot == 0 {
+				continue
+			}
+			set := lv.waysAt(slot)
 			nvalid := 0
 			for wi := range set {
 				if set[wi].valid {
@@ -689,9 +793,13 @@ func (h *Hierarchy) Fingerprint(fn func(uint64)) {
 func (h *Hierarchy) SpeculativeLines() int {
 	n := 0
 	for _, lv := range []*level{h.l1, h.l2} {
-		for si := range lv.sets {
-			for wi := range lv.sets[si] {
-				if lv.sets[si][wi].valid && lv.sets[si][wi].speculative() {
+		for _, slot := range lv.dir {
+			if slot == 0 {
+				continue
+			}
+			set := lv.waysAt(slot)
+			for wi := range set {
+				if set[wi].valid && set[wi].speculative() {
 					n++
 				}
 			}
